@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -69,6 +70,10 @@ class BitVec {
 
   /// Raw word access (read-only), for bulk algorithms.
   const std::vector<std::uint64_t>& words() const { return words_; }
+  /// Raw word access (writable). Callers must keep the bits past
+  /// size() in the last word zero, the canonical form Popcount and
+  /// comparisons rely on.
+  std::span<std::uint64_t> MutableWords() { return words_; }
 
  private:
   void CheckIndex(std::size_t i) const {

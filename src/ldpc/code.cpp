@@ -8,8 +8,8 @@ LdpcCode::LdpcCode(gf2::SparseMat h, std::size_t checks_per_layer)
 const LdpcCode::RankData& LdpcCode::EnsureRankData() const {
   if (!rank_data_) {
     RankData data;
-    data.rref = h_.ToDense();
-    const auto reduction = data.rref.RowReduce();
+    auto dense = h_.ToDense();
+    const auto reduction = dense.RowReduce();
     data.rank = reduction.rank;
     data.pivot_cols = reduction.pivot_cols;
     data.info_cols = reduction.free_cols;
@@ -29,8 +29,6 @@ const std::vector<std::size_t>& LdpcCode::InfoCols() const {
 const std::vector<std::size_t>& LdpcCode::PivotCols() const {
   return EnsureRankData().pivot_cols;
 }
-
-const gf2::BitMat& LdpcCode::Rref() const { return EnsureRankData().rref; }
 
 gf2::BitVec LdpcCode::Syndrome(const std::vector<std::uint8_t>& x) const {
   return h_.MulVec(x);

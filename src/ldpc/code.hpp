@@ -2,9 +2,11 @@
 // and encoding need — the Tanner graph, the rank structure, and
 // syndrome computation.
 //
-// Rank/RREF data (needed only by the encoder) is computed lazily and
-// cached, because decoding-only users should not pay for a dense
-// elimination of a 1022x8176 matrix.
+// Rank data (the rank and the pivot/information column split, needed
+// by the encoder and by k()) is computed lazily and cached, because
+// decoding-only users should not pay for a dense elimination of a
+// 1022x8176 matrix. Only the column split is kept; the reduced matrix
+// is dropped once it has been read.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +51,8 @@ class LdpcCode {
   /// reduced row echelon form, ascending. size() == k().
   const std::vector<std::size_t>& InfoCols() const;
   /// Parity positions (pivot columns), ascending. size() == rank.
+  /// H restricted to them has full column rank.
   const std::vector<std::size_t>& PivotCols() const;
-  /// Reduced row echelon form of H (rank rows meaningful).
-  const gf2::BitMat& Rref() const;
 
   /// Syndrome H x (x as 0/1 bytes of length n).
   gf2::BitVec Syndrome(const std::vector<std::uint8_t>& x) const;
@@ -59,7 +60,6 @@ class LdpcCode {
 
  private:
   struct RankData {
-    gf2::BitMat rref;
     std::size_t rank = 0;
     std::vector<std::size_t> pivot_cols;
     std::vector<std::size_t> info_cols;

@@ -5,12 +5,6 @@
 
 namespace cldpc {
 
-namespace {
-constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 std::uint64_t DeriveSeed(std::uint64_t base, std::uint64_t a, std::uint64_t b,
                          std::uint64_t c) {
   // Feed each index through the mixer so that nearby indices yield
@@ -31,22 +25,6 @@ Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) {
   // xoshiro authors; avoids the all-zero state by construction.
   SplitMix64 mix(seed);
   for (auto& word : s_) word = mix.Next();
-}
-
-Xoshiro256pp::result_type Xoshiro256pp::Next() {
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256pp::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Xoshiro256pp::NextBounded(std::uint64_t bound) {
@@ -82,40 +60,48 @@ void GaussianSampler::NextBatch(std::span<double> out) {
     has_cached_ = false;
     out[i++] = cached_;
   }
-  // Chunked polar method: stage accepted (u, v, s) triples, then run
-  // the expensive sqrt(-2 ln s / s) multipliers as one tight loop.
-  // The rejection loop below draws the stream pair by pair exactly
-  // like Next(), and u * factor / v * factor are the identical
-  // expressions — every emitted sample is bit-identical to the
-  // scalar path's.
-  constexpr std::size_t kChunk = 64;
-  double us[kChunk], vs[kChunk], fs[kChunk];
+  // Chunked polar method in three passes per chunk of pairs. The
+  // expressions are the scalar Next()'s, so every sample is
+  // bit-identical to the scalar path's.
+  constexpr std::size_t kChunk = 256;
+  double us[kChunk], vs[kChunk], ss[kChunk], logs[kChunk];
   while (i < out.size()) {
     const std::size_t pairs =
         std::min(kChunk, (out.size() - i + 1) / 2);  // last may be half-used
-    for (std::size_t k = 0; k < pairs; ++k) {
-      double u, v, s;
-      do {
-        u = 2.0 * rng_.NextDouble() - 1.0;
-        v = 2.0 * rng_.NextDouble() - 1.0;
-        s = u * u + v * v;
-      } while (s >= 1.0 || s == 0.0);
-      us[k] = u;
-      vs[k] = v;
-      fs[k] = s;
-    }
-    for (std::size_t k = 0; k < pairs; ++k)
-      fs[k] = std::sqrt(-2.0 * std::log(fs[k]) / fs[k]);
-    for (std::size_t k = 0; k < pairs; ++k) {
-      out[i++] = us[k] * fs[k];
-      if (i < out.size()) {
-        out[i++] = vs[k] * fs[k];
-      } else {
-        // Odd batch length: the pair's second variate is cached for
-        // the next draw, exactly like Next() would have.
-        cached_ = vs[k] * fs[k];
-        has_cached_ = true;
+    // 1. Accept/reject in rounds: a round draws one candidate per pair
+    // still needed and keeps the accepted ones by advancing `got`
+    // (rejects are overwritten), so no round can draw a candidate the
+    // scalar loop would not have drawn before its last accept.
+    for (std::size_t got = 0; got < pairs;) {
+      for (std::size_t need = pairs - got; need > 0; --need) {
+        const double u = 2.0 * rng_.NextDouble() - 1.0;
+        const double v = 2.0 * rng_.NextDouble() - 1.0;
+        const double s = u * u + v * v;
+        us[got] = u;
+        vs[got] = v;
+        ss[got] = s;
+        // s >= 0, so s > 0.0 is Next()'s s != 0.0 in one compare.
+        got += static_cast<std::size_t>((s < 1.0) & (s > 0.0));
       }
+    }
+    // 2. The logs (library calls).
+    for (std::size_t k = 0; k < pairs; ++k) logs[k] = std::log(ss[k]);
+    // 3. Multipliers and outputs, u * factor then v * factor per pair.
+    // An odd batch end leaves the last pair's second variate cached
+    // for the next draw, exactly like Next() would have.
+    const std::size_t full = std::min(pairs, (out.size() - i) / 2);
+    double* pair_out = out.data() + i;
+    for (std::size_t k = 0; k < full; ++k) {
+      const double factor = std::sqrt(-2.0 * logs[k] / ss[k]);
+      pair_out[2 * k] = us[k] * factor;
+      pair_out[2 * k + 1] = vs[k] * factor;
+    }
+    i += 2 * full;
+    if (full < pairs) {
+      const double factor = std::sqrt(-2.0 * logs[full] / ss[full]);
+      out[i++] = us[full] * factor;
+      cached_ = vs[full] * factor;
+      has_cached_ = true;
     }
   }
 }

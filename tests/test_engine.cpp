@@ -4,11 +4,15 @@
 
 #include "engine/thread_pool.hpp"
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "codes/catalog.hpp"
+#include "ldpc/core/registry.hpp"
 #include "ldpc/minsum_decoder.hpp"
 #include "qc/small_codes.hpp"
 #include "sim/ber_runner.hpp"
@@ -217,6 +221,59 @@ TEST(SimEngine, ThrowingFrameCallbackPropagatesCleanly) {
               }),
       std::runtime_error);
   EXPECT_EQ(calls, 7);
+}
+
+/// One pinned operating point: a catalog code and decoder spec at a
+/// fixed Eb/N0, seed and frame count, with the exact integer
+/// statistics SimEngine produced for it.
+struct GoldenPoint {
+  const char* code;
+  const char* decoder;
+  double ebn0_db;
+  std::uint64_t frames;
+  std::uint64_t bit_errors;
+  std::uint64_t frame_errors;
+  std::uint64_t undetected_errors;
+  std::uint64_t iterations_total;
+};
+
+// Every frame's info bits, codeword and noise feed these counts, so
+// any change to the source stream, the encoder, the Gaussian sampler
+// or the channel arithmetic that moves a single LLR moves at least
+// the iteration total. A front-end optimisation must leave them
+// exactly as they are; a deliberate stream change must re-record them
+// and say so.
+constexpr std::uint64_t kGoldenSeed = 2009;
+constexpr GoldenPoint kGoldenPoints[] = {
+    {"c2", "fixed-layered-nms:batch=16", 3.0, 32, 7394, 32, 0, 576},
+    {"c2", "fixed-layered-nms:batch=16", 4.2, 32, 0, 0, 0, 91},
+    {"ft8", "fixed-layered-nms:batch=16", 2.5, 256, 135, 17, 0, 1068},
+    {"small", "fixed-layered-nms:batch=16", 3.5, 256, 67, 5, 0, 722},
+};
+
+TEST(SimEngine, GoldenCurvesAreUnchanged) {
+  for (const auto& g : kGoldenPoints) {
+    SCOPED_TRACE(std::string(g.code) + " @ " + std::to_string(g.ebn0_db));
+    const auto system = codes::LoadCode(g.code);
+    sim::BerConfig config;
+    config.ebn0_db = {g.ebn0_db};
+    config.base_seed = kGoldenSeed;
+    config.max_frames = g.frames;
+    config.min_frame_errors = std::numeric_limits<std::uint64_t>::max();
+    config.threads = 2;
+    config.frame_source = system.frame_source;
+    config.frame_check = system.frame_check;
+    SimEngine sim(*system.code, *system.encoder, config);
+    const auto curve =
+        sim.Run(ldpc::MakeDecoderFactory(*system.code, g.decoder));
+    ASSERT_EQ(curve.points.size(), 1u);
+    const auto& p = curve.points[0];
+    EXPECT_EQ(p.frames, g.frames);
+    EXPECT_EQ(p.bit_errors.errors(), g.bit_errors);
+    EXPECT_EQ(p.frame_errors.errors(), g.frame_errors);
+    EXPECT_EQ(p.undetected_errors.errors(), g.undetected_errors);
+    EXPECT_EQ(p.iterations_total, g.iterations_total);
+  }
 }
 
 TEST(ResolveThreadsTest, ZeroMeansHardwareConcurrency) {

@@ -2,12 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
 
 namespace cldpc {
 namespace {
+
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// FNV-1a over the IEEE bit patterns of a sample vector.
+std::uint64_t Fingerprint(const std::vector<double>& v) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const double d : v) {
+    const std::uint64_t b = Bits(d);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (b >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
 
 TEST(SplitMix64, KnownSequenceIsStable) {
   // Golden values pin the implementation so experiment seeds stay
@@ -144,6 +160,80 @@ TEST(GaussianSampler, TailProbabilityReasonable) {
   }
   // P(|X| > 2) = 4.55 %.
   EXPECT_NEAR(static_cast<double>(beyond2) / n, 0.0455, 0.004);
+}
+
+// Golden streams. Every Monte-Carlo curve is a function of these
+// exact bits, so generator and sampler refactors (inlining, batching,
+// vectorisation) must reproduce them; only a deliberate, documented
+// stream change may re-record them.
+
+TEST(Xoshiro256pp, GoldenOutputs) {
+  Xoshiro256pp zero(0);
+  EXPECT_EQ(zero.Next(), 0x53175D61490B23DFULL);
+  EXPECT_EQ(zero.Next(), 0x61DA6F3DC380D507ULL);
+  EXPECT_EQ(zero.Next(), 0x5C0FDF91EC9A7BFCULL);
+  EXPECT_EQ(zero.Next(), 0x02EEBF8C3BBE5E1AULL);
+  Xoshiro256pp other(2009);
+  EXPECT_EQ(other.Next(), 0xB1546EA92EA337E3ULL);
+  EXPECT_EQ(other.Next(), 0xFCDAAFD3628C99CBULL);
+  EXPECT_EQ(other.Next(), 0x34AFC42669A59E13ULL);
+  EXPECT_EQ(other.Next(), 0x3C6A8409AF74544AULL);
+}
+
+TEST(GaussianSampler, NextBatchGoldenOddAndEvenLengths) {
+  const std::uint64_t expected[] = {
+      0xBFEF1423ADBACDC9ULL, 0x3FF7064075DC31C8ULL, 0x3FD1B4D6B095FE8DULL,
+      0xBFC982B517BF99B2ULL, 0xBFE0CEC7227346E8ULL, 0xBF7A4D1BCF9EF06FULL,
+      0x3FDBE611B96B53A0ULL, 0xBFD0E2E4E1DC8CE6ULL};
+  for (const std::size_t len : {7u, 8u}) {
+    SCOPED_TRACE(len);
+    GaussianSampler g(77);
+    std::vector<double> out(len);
+    g.NextBatch(out);
+    for (std::size_t i = 0; i < len; ++i) EXPECT_EQ(Bits(out[i]), expected[i]);
+    // Both lengths end on the same pair, so the stream position after
+    // the call is the same: an odd length caches the pair's second
+    // variate instead of drawing past it.
+    EXPECT_EQ(g.rng().Next(), 0xB5DD20FEE1B8E2C9ULL);
+  }
+}
+
+TEST(GaussianSampler, NextBatchGoldenLongerThanOneChunk) {
+  struct Golden {
+    std::size_t len;
+    std::uint64_t fingerprint, last, next_draw;
+  };
+  const Golden goldens[] = {
+      {129, 0x44E0AD6ABED1FCB0ULL, 0xBFEE6073277BA7BFULL,
+       0xCEAE6688A3C1C4DDULL},
+      {150, 0x568EAB862E21BB16ULL, 0xBFE423AB0D71EB0EULL,
+       0x18461FFEF9C9C565ULL},
+      {8176, 0x260077F01ACD6FA0ULL, 0xBFC59615600C2C7DULL,
+       0x8AC99CA33A6FB17FULL},
+  };
+  for (const auto& g : goldens) {
+    SCOPED_TRACE(g.len);
+    GaussianSampler sampler(2009);
+    std::vector<double> out(g.len);
+    sampler.NextBatch(out);
+    EXPECT_EQ(Bits(out.front()), 0xBFE71781170AAB07ULL);
+    EXPECT_EQ(Bits(out.back()), g.last);
+    EXPECT_EQ(Fingerprint(out), g.fingerprint);
+    EXPECT_EQ(sampler.rng().Next(), g.next_draw);
+  }
+}
+
+TEST(GaussianSampler, NextBatchGoldenCachedVariateAcrossCalls) {
+  GaussianSampler g(31);
+  std::vector<double> first(5), second(4);
+  g.NextBatch(first);   // caches the third pair's second variate
+  g.NextBatch(second);  // starts with it
+  EXPECT_EQ(Bits(first[4]), 0x3FCE53D266ECE666ULL);
+  EXPECT_EQ(Bits(second[0]), 0x40000C363356F4B1ULL);
+  EXPECT_EQ(Bits(second[3]), 0xBFE4F0692C26FE81ULL);
+  EXPECT_EQ(Fingerprint(second), 0xBB752229E22D4794ULL);
+  EXPECT_EQ(Bits(g.Next()), 0x3FB5C18F3BE06AC8ULL);
+  EXPECT_EQ(g.rng().Next(), 0xCD42C1C26A6DD468ULL);
 }
 
 }  // namespace
