@@ -1,283 +1,202 @@
-// Thin dispatch shims: each decoder validates its configuration,
-// owns the lane-group buffers, and hands a LaneArgs bundle to the
-// runtime-selected kernel table (core/dispatch.hpp). The lane-group
-// engine itself lives in batched_lane_impl.inc, compiled once per ISA
-// by the batched_lanes_*.cpp TUs — this TU stays baseline-ISA and
-// does everything the ISA TUs must not (std::vector sizing, string
+// LayeredDecoder: validates its configuration, owns the lane-group
+// buffers, and hands a LaneArgs bundle to the runtime-selected kernel
+// table (core/dispatch.hpp). The lane-group engine itself lives in
+// batched_lane_impl.inc, compiled once per ISA by the
+// batched_lanes_*.cpp TUs — this TU stays baseline-ISA and does
+// everything the ISA TUs must not (std::vector sizing, string
 // formatting), see LaneDecodeCommon.
 #include "ldpc/batched_layered_decoder.hpp"
 
 #include <algorithm>
 #include <sstream>
 
-#include "ldpc/core/dispatch.hpp"
 #include "obs/decode_sink.hpp"
 #include "util/contracts.hpp"
 
 namespace cldpc::ldpc {
 namespace {
 
-core::Float32CheckRule F32Rule(const MinSumOptions& options) {
-  const auto rule = MinSumCheckRule(options);
-  return {static_cast<float>(rule.scale), static_cast<float>(rule.beta)};
+void ValidateMinSum(const MinSumOptions& options) {
+  CLDPC_EXPECTS(options.alpha >= 1.0, "alpha must be >= 1");
 }
 
-std::size_t ValidatedLanes(std::size_t max_lanes) {
-  CLDPC_EXPECTS(max_lanes >= 1 && max_lanes <= 32,
-                "batch lanes must be in [1, 32]");
-  return max_lanes;
+void ValidateFixed(const FixedMinSumOptions& options) {
+  const auto& dp = options.datapath;
+  CLDPC_EXPECTS(dp.message_bits >= 2 && dp.message_bits <= 16,
+                "message width out of range");
+  CLDPC_EXPECTS(dp.app_bits >= dp.message_bits,
+                "APP accumulator narrower than messages");
+  CLDPC_EXPECTS(dp.app_bits <= 30, "APP width out of range");
+  // Normalization bound: keeps the rounding shift defined and
+  // mag * num + 2^(shift-1) below 2^31 for any magnitude of a
+  // message word of <= 16 bits.
+  CLDPC_EXPECTS(dp.normalization.shift >= 0 && dp.normalization.shift <= 16,
+                "normalization denominator must be in [1, 2^16]");
+  CLDPC_EXPECTS(dp.normalization.num >= 1 &&
+                    dp.normalization.num <= (1 << 16),
+                "normalization numerator must be in [1, 2^16]");
 }
 
-/// The pre-sized result block the kernels write into (the
-/// LaneDecodeCommon contract: all vector growth happens here, in a
-/// baseline-ISA TU).
-std::vector<DecodeResult> PreparedResults(std::size_t num_frames,
-                                          std::size_t n) {
-  std::vector<DecodeResult> results(num_frames);
-  for (auto& r : results) r.bits.resize(n);
-  return results;
-}
-
-core::LaneDecodeCommon MakeCommon(const LdpcCode& code,
-                                  const IterOptions& iter,
-                                  std::span<const double> llrs,
-                                  std::size_t num_frames,
-                                  std::size_t max_lanes,
-                                  std::uint32_t* hard_mask,
-                                  core::BatchSyndromeTracker* syndrome,
-                                  DecodeResult* results) {
-  CLDPC_EXPECTS(llrs.size() == num_frames * code.graph().num_bits(),
-                "LLR block must be num_frames frames of length n");
-  core::LaneDecodeCommon c;
-  c.code = &code;
-  c.iter = iter;
-  c.llrs = llrs.data();
-  c.num_frames = num_frames;
-  c.max_lanes = max_lanes;
-  c.hard_mask = hard_mask;
-  c.syndrome = syndrome;
-  c.results = results;
-  return c;
+std::string FixedName(const char* kind, const FixedMinSumOptions& options) {
+  std::ostringstream os;
+  os << kind << "(w" << options.datapath.message_bits << ")";
+  return os.str();
 }
 
 }  // namespace
 
-// ---- BatchedLayeredDecoder (double lanes) --------------------------
+// ---- Lane traits ---------------------------------------------------
 
-BatchedLayeredDecoder::BatchedLayeredDecoder(const LdpcCode& code,
-                                             MinSumOptions options,
-                                             std::size_t max_lanes)
-    : code_(code),
-      options_(options),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
-  CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
-  CLDPC_EXPECTS(options_.alpha >= 1.0, "alpha must be >= 1");
-  rule_ = MinSumCheckRule(options_);
-  const std::size_t w = std::min(max_lanes_, kMaxLaneGroup);
-  app_.resize(code_.graph().num_bits() * w);
-  extr_.resize(code_.schedule().max_check_degree() * w);
-  msgs_.Resize(code_.graph().num_checks(), w);
-  hard_.resize(code_.graph().num_bits());
+void DoubleLanes::Validate(const Options& options) { ValidateMinSum(options); }
+
+DoubleLanes::Rule DoubleLanes::CheckRule(const Options& options) {
+  return MinSumCheckRule(options);
 }
 
-std::string BatchedLayeredDecoder::Name() const {
-  return "layered-" + MinSumFamilyName(options_);
+std::string DoubleLanes::Name(const Options& options) {
+  return "layered-" + MinSumFamilyName(options);
 }
 
-DecodeResult BatchedLayeredDecoder::Decode(std::span<const double> llr) {
-  auto results = DecodeBatch(llr, 1);
-  return std::move(results.front());
+void F32Lanes::Validate(const Options& options) { ValidateMinSum(options); }
+
+F32Lanes::Rule F32Lanes::CheckRule(const Options& options) {
+  const auto rule = MinSumCheckRule(options);
+  return {static_cast<float>(rule.scale), static_cast<float>(rule.beta)};
 }
 
-std::vector<DecodeResult> BatchedLayeredDecoder::DecodeBatch(
-    std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
-  core::LaneArgsDouble a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
-  a.rule = rule_;
-  a.app = app_.data();
-  a.store = &msgs_;
-  a.extr = extr_.data();
-  core::ActiveLaneKernels().decode_double(a);
-  return results;
+std::string F32Lanes::Name(const Options& options) {
+  return "layered-f32-" + MinSumFamilyName(options);
 }
 
-// ---- BatchedLayeredDecoderF32 (float lanes) ------------------------
+void FixedLanes::Validate(const Options& options) { ValidateFixed(options); }
 
-BatchedLayeredDecoderF32::BatchedLayeredDecoderF32(const LdpcCode& code,
-                                                   MinSumOptions options,
-                                                   std::size_t max_lanes)
-    : code_(code),
-      options_(options),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
-  CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
-  CLDPC_EXPECTS(options_.alpha >= 1.0, "alpha must be >= 1");
-  rule_ = F32Rule(options_);
-  const std::size_t w = std::min(max_lanes_, kMaxLaneGroup);
-  app_.resize(code_.graph().num_bits() * w);
-  extr_.resize(code_.schedule().max_check_degree() * w);
-  msgs_.Resize(code_.graph().num_checks(), w);
-  hard_.resize(code_.graph().num_bits());
+FixedLanes::Rule FixedLanes::CheckRule(const Options& options) {
+  return options.datapath.normalization;
 }
 
-std::string BatchedLayeredDecoderF32::Name() const {
-  return "layered-f32-" + MinSumFamilyName(options_);
+std::string FixedLanes::Name(const Options& options) {
+  return FixedName("fixed-layered-nms", options);
 }
 
-DecodeResult BatchedLayeredDecoderF32::Decode(std::span<const double> llr) {
-  auto results = DecodeBatch(llr, 1);
-  return std::move(results.front());
-}
-
-std::vector<DecodeResult> BatchedLayeredDecoderF32::DecodeBatch(
-    std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
-  core::LaneArgsF32 a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
-  a.rule = rule_;
-  a.app = app_.data();
-  a.store = &msgs_;
-  a.extr = extr_.data();
-  core::ActiveLaneKernels().decode_f32(a);
-  return results;
-}
-
-// ---- BatchedFixedLayeredDecoder (fixed-point lanes) ----------------
-
-BatchedFixedLayeredDecoder::BatchedFixedLayeredDecoder(
-    const LdpcCode& code, FixedMinSumOptions options, std::size_t max_lanes)
-    : code_(code),
-      options_(options),
-      quantizer_(options.datapath.channel_bits,
-                 options.datapath.channel_scale),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
-  CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
-  CLDPC_EXPECTS(options_.datapath.message_bits >= 2 &&
-                    options_.datapath.message_bits <= 16,
-                "message width out of range");
-  CLDPC_EXPECTS(options_.datapath.app_bits >= options_.datapath.message_bits,
-                "APP accumulator narrower than messages");
-  const std::size_t w = std::min(max_lanes_, kMaxLaneGroup);
-  app_.resize(code_.graph().num_bits() * w);
-  extr_.resize(code_.schedule().max_check_degree() * w);
-  bc_.resize(code_.schedule().max_check_degree() * w);
-  msgs_.Resize(code_.graph().num_checks(), w);
-  hard_.resize(code_.graph().num_bits());
-}
-
-std::string BatchedFixedLayeredDecoder::Name() const {
-  std::ostringstream os;
-  os << "fixed-layered-nms(w" << options_.datapath.message_bits << ")";
-  return os.str();
-}
-
-DecodeResult BatchedFixedLayeredDecoder::Decode(std::span<const double> llr) {
-  auto results = DecodeBatch(llr, 1);
-  return std::move(results.front());
-}
-
-std::vector<DecodeResult> BatchedFixedLayeredDecoder::DecodeBatch(
-    std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
-  core::LaneArgsFixed a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
-  a.norm = options_.datapath.normalization;
-  a.quantizer = &quantizer_;
-  a.message_bits = options_.datapath.message_bits;
-  a.app_bits = options_.datapath.app_bits;
-  a.app = app_.data();
-  a.store = &msgs_;
-  a.extr = extr_.data();
-  a.bc = bc_.data();
-  core::ActiveLaneKernels().decode_fixed(a);
-  return results;
-}
-
-// ---- BatchedFixedI8LayeredDecoder (int8 lanes) ---------------------
-
-BatchedFixedI8LayeredDecoder::BatchedFixedI8LayeredDecoder(
-    const LdpcCode& code, FixedMinSumOptions options, std::size_t max_lanes)
-    : code_(code),
-      options_(options),
-      quantizer_(options.datapath.channel_bits,
-                 options.datapath.channel_scale),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
-  CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
-  // The FixedI8Datapath width contract (batch_kernel.hpp): int8
-  // messages, int16 APP arithmetic with headroom, normalization that
-  // never amplifies. Everything inside it is bit-identical to the
-  // int32 fixed datapath; everything outside is rejected here rather
-  // than silently wrapping.
-  CLDPC_EXPECTS(options_.datapath.message_bits >= 2 &&
-                    options_.datapath.message_bits <= 8,
+void I8Lanes::Validate(const Options& options) {
+  // The FixedI8Datapath width contract (batch_kernel.hpp), on top of
+  // the int32 datapath's ranges: int8 messages, int16 APP arithmetic
+  // with headroom, normalization that never amplifies. Everything
+  // inside it is bit-identical to the int32 fixed datapath;
+  // everything outside is rejected here rather than silently
+  // wrapping.
+  ValidateFixed(options);
+  const auto& dp = options.datapath;
+  CLDPC_EXPECTS(dp.message_bits <= 8,
                 "i8 datapath needs message width in [2, 8]");
-  CLDPC_EXPECTS(options_.datapath.app_bits >= options_.datapath.message_bits,
-                "APP accumulator narrower than messages");
-  CLDPC_EXPECTS(options_.datapath.app_bits <= 14,
+  CLDPC_EXPECTS(dp.app_bits <= 14,
                 "i8 datapath needs APP width <= 14 (int16 headroom)");
-  CLDPC_EXPECTS(options_.datapath.normalization.num <=
-                    (Fixed{1} << options_.datapath.normalization.shift),
-                "i8 datapath needs normalization factor <= 1");
-  CLDPC_EXPECTS(options_.datapath.normalization.shift >= 0 &&
-                    options_.datapath.normalization.shift <= 8,
+  CLDPC_EXPECTS(dp.normalization.shift <= 8,
                 "i8 datapath needs normalization denominator <= 256 "
                 "(the normalizer multiplies in int16)");
-  const std::size_t w = std::min(max_lanes_, kMaxLaneGroupI8);
+  CLDPC_EXPECTS(dp.normalization.num <= (Fixed{1} << dp.normalization.shift),
+                "i8 datapath needs normalization factor <= 1");
+}
+
+I8Lanes::Rule I8Lanes::CheckRule(const Options& options) {
+  return options.datapath.normalization;
+}
+
+std::string I8Lanes::Name(const Options& options) {
+  return FixedName("fixed-layered-nms-i8", options);
+}
+
+// ---- LayeredDecoder ------------------------------------------------
+
+template <class Lanes>
+LayeredDecoder<Lanes>::LayeredDecoder(const LdpcCode& code, Options options,
+                                      std::size_t max_lanes)
+    : code_(code),
+      options_(options),
+      max_lanes_(max_lanes),
+      syndrome_(code.schedule()) {
+  CLDPC_EXPECTS(max_lanes_ >= 1 && max_lanes_ <= 32,
+                "batch lanes must be in [1, 32]");
+  CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
+  Lanes::Validate(options_);
+  rule_ = Lanes::CheckRule(options_);
+  const std::size_t w = std::min(max_lanes_, Lanes::kMaxGroup);
+  const std::size_t dc = code_.schedule().max_check_degree();
   app_.resize(code_.graph().num_bits() * w);
-  extr_.resize(code_.schedule().max_check_degree() * w);
-  bc_.resize(code_.schedule().max_check_degree() * w);
+  extr_.resize(dc * w);
+  if constexpr (kFixed) {
+    quantizer_.emplace(options_.datapath.channel_bits,
+                       options_.datapath.channel_scale);
+    bc_.resize(dc * w);
+  }
   msgs_.Resize(code_.graph().num_checks(), w);
   hard_.resize(code_.graph().num_bits());
 }
 
-std::string BatchedFixedI8LayeredDecoder::Name() const {
-  std::ostringstream os;
-  os << "fixed-layered-nms-i8(w" << options_.datapath.message_bits << ")";
-  return os.str();
+template <class Lanes>
+std::string LayeredDecoder<Lanes>::Name() const {
+  return Lanes::Name(options_);
 }
 
-DecodeResult BatchedFixedI8LayeredDecoder::Decode(
-    std::span<const double> llr) {
+template <class Lanes>
+DecodeResult LayeredDecoder<Lanes>::Decode(std::span<const double> llr) {
   auto results = DecodeBatch(llr, 1);
   return std::move(results.front());
 }
 
-std::vector<DecodeResult> BatchedFixedI8LayeredDecoder::DecodeBatch(
+template <class Lanes>
+std::vector<DecodeResult> LayeredDecoder<Lanes>::DecodeBatch(
     std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
-  core::LaneArgsI8 a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
-  a.norm = options_.datapath.normalization;
-  a.quantizer = &quantizer_;
-  a.message_bits = options_.datapath.message_bits;
-  a.app_bits = options_.datapath.app_bits;
+  const std::size_t n = code_.graph().num_bits();
+  CLDPC_EXPECTS(llrs.size() == num_frames * n,
+                "LLR block must be num_frames frames of length n");
+  // The kernels write into this pre-sized block (the LaneDecodeCommon
+  // contract: all vector growth happens here, in a baseline-ISA TU).
+  std::vector<DecodeResult> results(num_frames);
+  for (auto& r : results) r.bits.resize(n);
+
+  core::LaneArgs<Lanes> a;
+  a.common.code = &code_;
+  a.common.iter = options_.iter;
+  a.common.llrs = llrs.data();
+  a.common.num_frames = num_frames;
+  a.common.max_lanes = max_lanes_;
+  a.common.hard_mask = hard_.data();
+  a.common.syndrome = &syndrome_;
+  a.common.results = results.data();
+  a.rule = rule_;
+  if constexpr (kFixed) {
+    a.quantizer = &*quantizer_;
+    a.message_bits = options_.datapath.message_bits;
+    a.app_bits = options_.datapath.app_bits;
+    a.bc = bc_.data();
+  }
   a.app = app_.data();
   a.store = &msgs_;
   a.extr = extr_.data();
-  a.bc = bc_.data();
-  // With a sink installed the kernel runs its saturation-counting
+  // With a sink installed the i8 kernel runs its saturation-counting
   // twin; totals land in these locals and flush to the shard below.
   std::uint64_t msg_clamps = 0;
   std::uint64_t bn_saturations = 0;
-  obs::DecodeSink* sink = obs::CurrentDecodeSink();
-  if (sink != nullptr) {
-    a.msg_clamps = &msg_clamps;
-    a.bn_saturations = &bn_saturations;
+  obs::DecodeSink* sink = nullptr;
+  if constexpr (std::is_same_v<Lanes, I8Lanes>) {
+    sink = obs::CurrentDecodeSink();
+    if (sink != nullptr) {
+      a.msg_clamps = &msg_clamps;
+      a.bn_saturations = &bn_saturations;
+    }
   }
-  core::ActiveLaneKernels().decode_i8(a);
+  (core::ActiveLaneKernels().*Lanes::kKernel)(a);
   if (sink != nullptr) {
     sink->shard->Add(sink->ids.msg_clamp_events, msg_clamps);
     sink->shard->Add(sink->ids.bn_sat_events, bn_saturations);
   }
   return results;
 }
+
+template class LayeredDecoder<DoubleLanes>;
+template class LayeredDecoder<F32Lanes>;
+template class LayeredDecoder<FixedLanes>;
+template class LayeredDecoder<I8Lanes>;
 
 }  // namespace cldpc::ldpc

@@ -10,8 +10,9 @@
 //
 // Everything in the per-lane state is deliberately Value-width so the
 // whole scan vectorizes at one width (mixed-width lanes defeat the
-// SSE/AVX vectorizer): the argmin position is carried as a Value-type
-// number (exact: positions are < 64), and input signs are carried as
+// SSE/AVX vectorizer): the argmin position is carried as a
+// Value-width signed integer (integer compares and selects, no
+// int-to-float conversion per position), and input signs are carried as
 // full-width compare masks whose XOR accumulates the sign product —
 // no per-position bit shifts. For any one lane the comparisons are
 // the scalar kernel's, in the same order, so per-lane results are
@@ -23,7 +24,7 @@
 // two batch-only variants —
 //   Float32Datapath — single precision, double the SIMD width of the
 //                     double path; validated by BER-curve equivalence
-//                     (see BatchedLayeredDecoderF32).
+//                     (see F32Lanes).
 //   FixedI8Datapath — 8-bit saturating lanes (int16 APP accumulator
 //                     in the decoder), 4x the lanes of the int32
 //                     fixed path; value-identical to the int32 fixed
@@ -92,7 +93,7 @@ struct Float32Datapath {
 /// holds 32 of them (AVX-512: 64). The quantization semantics are
 /// FixedDatapathParams' — symmetric W-bit words, dyadic shift-add
 /// normalization with round-to-nearest ties-away — and the decoder
-/// accumulates APPs in int16 (see BatchedFixedI8LayeredDecoder).
+/// accumulates APPs in int16 (see I8Lanes).
 ///
 /// Width contract (enforced by the i8 decoder/registry): message_bits
 /// <= 8 so every CN input fits the symmetric int8 range [-127, 127],
@@ -126,8 +127,8 @@ struct FixedI8Datapath {
 };
 
 /// Value-width companions of a datapath for the lane kernel: the
-/// unsigned type carrying sign masks, the numeric type carrying the
-/// argmin position, and the mask-based sign primitives. All
+/// unsigned type carrying sign masks, the signed integer type carrying
+/// the argmin position, and the mask-based sign primitives. All
 /// operations reproduce the scalar kernel's IsNegative/FlipSign
 /// semantics exactly (the masks are compare results, not sign-bit
 /// extractions, so e.g. -0.0 inputs behave identically).
@@ -137,7 +138,7 @@ struct BatchTraits;
 template <>
 struct BatchTraits<FloatDatapath> {
   using UInt = std::uint64_t;
-  using Index = double;
+  using Index = std::int64_t;
   static UInt SignMask(double v) { return v < 0.0 ? ~UInt{0} : UInt{0}; }
   static double ApplySign(double mag, UInt mask) {
     return std::bit_cast<double>(std::bit_cast<UInt>(mag) ^
@@ -154,7 +155,7 @@ struct BatchTraits<FloatDatapath> {
 template <>
 struct BatchTraits<Float32Datapath> {
   using UInt = std::uint32_t;
-  using Index = float;
+  using Index = std::int32_t;
   static UInt SignMask(float v) { return v < 0.0f ? ~UInt{0} : UInt{0}; }
   static float ApplySign(float mag, UInt mask) {
     return std::bit_cast<float>(std::bit_cast<UInt>(mag) ^

@@ -7,9 +7,8 @@
 // per-input sign word — and reconstruct any output on the fly. That
 // is what makes the extrinsic memory O(checks) instead of O(edges)
 // and small enough to bank. This header is the software counterpart,
-// consumed by every layered decoder (scalar and lane-batched):
+// consumed by LayeredDecoder:
 //
-//   CompressedCn<Datapath>       — one Record per check (scalar path)
 //   CompressedCnLanes<Datapath>  — field-major SoA records over
 //                                  checks x lanes (owning storage)
 //   CompressedCnView<Datapath,L> — the lane-templated Store/LoadRow
@@ -19,7 +18,7 @@
 // store the two exclusive-min magnitudes ALREADY normalized.
 // Normalize is a pure function applied to whichever min the argmin
 // select picks, so normalize-then-select equals select-then-normalize
-// bit for bit, and Load/LoadRow reproduce exactly the value
+// bit for bit, and LoadRow reproduces exactly the value
 // CnUpdate::Output / CnUpdateBatch::OutputRow computed when the
 // record was written. A zero-initialized record loads as +0 in every
 // datapath — identical to the "messages start at zero" state of a
@@ -41,69 +40,6 @@
 #include "ldpc/core/cn_kernel.hpp"
 
 namespace cldpc::ldpc::core {
-
-/// Per-check compressed message storage for the scalar layered
-/// decoders. Store() compresses a CnUpdate summary once per check
-/// visit; Load() reconstructs the message the check sent to input
-/// position `pos` at that visit.
-template <class Datapath>
-class CompressedCn {
- public:
-  using Kernel = CnUpdate<Datapath>;
-  using Summary = typename Kernel::Summary;
-  using Value = typename Datapath::Value;
-  using Rule = typename Datapath::Rule;
-
-  /// One check's record: both candidate output magnitudes (normalized
-  /// at store time — see the header contract), where the smallest
-  /// input magnitude occurred, the total sign product, and each
-  /// input's sign (bit i = input i negative; degrees up to 64).
-  struct Record {
-    Value nmin1{};
-    Value nmin2{};
-    std::uint32_t argmin_pos = 0;
-    bool sign_product_negative = false;
-    std::uint64_t sign_mask = 0;
-  };
-
-  explicit CompressedCn(std::size_t num_checks) : records_(num_checks) {}
-
-  /// Back to the all-zero-messages state (every Load yields +0).
-  void Reset() { std::fill(records_.begin(), records_.end(), Record{}); }
-
-  /// Compress and store one check's scan summary; returns the stored
-  /// record so the caller can fold the fresh outputs without
-  /// re-reading the store.
-  const Record& Store(std::size_t m, const Summary& s, const Rule& rule) {
-    Record& r = records_[m];
-    r.nmin1 = Datapath::Normalize(s.min1, rule);
-    r.nmin2 = Datapath::Normalize(s.min2, rule);
-    r.argmin_pos = s.argmin_pos;
-    r.sign_product_negative = s.sign_product_negative;
-    r.sign_mask = s.sign_mask;
-    return r;
-  }
-
-  const Record& Get(std::size_t m) const { return records_[m]; }
-
-  /// The check-to-bit message of input position `pos` reconstructed
-  /// from a record — value-identical to CnUpdate::Output on the
-  /// summary the record was stored from.
-  static Value Output(const Record& r, std::size_t pos) {
-    const Value mag = (pos == r.argmin_pos) ? r.nmin2 : r.nmin1;
-    const bool self = ((r.sign_mask >> pos) & 1u) != 0;
-    return Datapath::FlipSign(mag, r.sign_product_negative != self);
-  }
-
-  Value Load(std::size_t m, std::size_t pos) const {
-    return Output(records_[m], pos);
-  }
-
-  std::size_t num_checks() const { return records_.size(); }
-
- private:
-  std::vector<Record> records_;
-};
 
 /// Owning SoA storage of compressed records over checks x lanes,
 /// field-major (field[m * lanes + l]) so every lane loop in the view

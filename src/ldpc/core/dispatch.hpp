@@ -1,6 +1,6 @@
 // Runtime ISA dispatch for the lane-batched decode kernels.
 //
-// The batched decoders' hot loops (CnUpdateBatch scan, compressed
+// The layered decoder's hot loops (CnUpdateBatch scan, compressed
 // Peel/Store/FoldFresh, the lane-group engine) are compiled several
 // times — once per ISA, each kernel TU (ldpc/batched_lanes_*.cpp)
 // with its own -m flags and its own namespace so the linker cannot
@@ -42,6 +42,14 @@
 #include "ldpc/decoder.hpp"
 #include "util/fixed_point.hpp"
 
+namespace cldpc::ldpc {
+// The lane traits (defined with LayeredDecoder).
+struct DoubleLanes;
+struct F32Lanes;
+struct FixedLanes;
+struct I8Lanes;
+}  // namespace cldpc::ldpc
+
 namespace cldpc::ldpc::core {
 
 enum class Isa : int {
@@ -75,46 +83,24 @@ struct LaneDecodeCommon {
   DecodeResult* results = nullptr;  // out, pre-sized (see above)
 };
 
-struct LaneArgsDouble {
+/// One lane-group decode request for datapath `Lanes` (a lane trait
+/// of ldpc/batched_layered_decoder.hpp: DoubleLanes, F32Lanes,
+/// FixedLanes or I8Lanes). The decoder owns every buffer; the fields
+/// a datapath does not use stay null/zero.
+template <class Lanes>
+struct LaneArgs {
   LaneDecodeCommon common;
-  FloatCheckRule rule;
-  double* app = nullptr;
-  CompressedCnLanes<FloatDatapath>* store = nullptr;
-  double* extr = nullptr;
-};
-
-struct LaneArgsF32 {
-  LaneDecodeCommon common;
-  Float32CheckRule rule;
-  float* app = nullptr;
-  CompressedCnLanes<Float32Datapath>* store = nullptr;
-  float* extr = nullptr;
-};
-
-struct LaneArgsFixed {
-  LaneDecodeCommon common;
-  DyadicFraction norm;
+  typename Lanes::Rule rule{};  // CN magnitude correction
+  // Fixed datapaths only: channel quantizer and word widths.
   const LlrQuantizer* quantizer = nullptr;
   int message_bits = 0;
   int app_bits = 0;
-  Fixed* app = nullptr;
-  CompressedCnLanes<FixedDatapath>* store = nullptr;
-  Fixed* extr = nullptr;
-  Fixed* bc = nullptr;
-};
-
-struct LaneArgsI8 {
-  LaneDecodeCommon common;
-  DyadicFraction norm;
-  const LlrQuantizer* quantizer = nullptr;
-  int message_bits = 0;
-  int app_bits = 0;
-  std::int16_t* app = nullptr;  // int16 BN accumulator lanes
-  CompressedCnLanes<FixedI8Datapath>* store = nullptr;
-  std::int16_t* extr = nullptr;
-  std::int8_t* bc = nullptr;  // narrowed CN input lanes
-  // Saturation-event counters (obs satellite): when non-null the
-  // kernel runs its counting twin and accumulates message-clamp /
+  typename Lanes::AppValue* app = nullptr;  // APP accumulator lanes
+  CompressedCnLanes<typename Lanes::Datapath>* store = nullptr;
+  typename Lanes::AppValue* extr = nullptr;
+  typename Lanes::Value* bc = nullptr;  // narrowed CN inputs (fixed)
+  // Saturation-event counters (i8 only): when non-null the kernel
+  // runs its counting twin and accumulates message-clamp /
   // BN-accumulate-saturation event counts here; when null the
   // uninstrumented loops run. Results are identical either way.
   std::uint64_t* msg_clamps = nullptr;
@@ -124,10 +110,10 @@ struct LaneArgsI8 {
 /// One ISA's set of lane-decode entry points.
 struct LaneKernelTable {
   const char* name = "";
-  void (*decode_double)(const LaneArgsDouble&) = nullptr;
-  void (*decode_f32)(const LaneArgsF32&) = nullptr;
-  void (*decode_fixed)(const LaneArgsFixed&) = nullptr;
-  void (*decode_i8)(const LaneArgsI8&) = nullptr;
+  void (*decode_double)(const LaneArgs<DoubleLanes>&) = nullptr;
+  void (*decode_f32)(const LaneArgs<F32Lanes>&) = nullptr;
+  void (*decode_fixed)(const LaneArgs<FixedLanes>&) = nullptr;
+  void (*decode_i8)(const LaneArgs<I8Lanes>&) = nullptr;
 };
 
 /// The per-TU tables. A TU whose flags the compiler did not support

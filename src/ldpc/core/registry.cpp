@@ -9,9 +9,7 @@
 
 #include "ldpc/batched_layered_decoder.hpp"
 #include "ldpc/bp_decoder.hpp"
-#include "ldpc/fixed_layered_decoder.hpp"
 #include "ldpc/fixed_minsum_decoder.hpp"
-#include "ldpc/layered_decoder.hpp"
 #include "ldpc/minsum_decoder.hpp"
 #include "util/contracts.hpp"
 #include "util/keyval.hpp"
@@ -43,9 +41,9 @@ MinSumOptions MinSumFromSpec(const DecoderSpec& spec, MinSumVariant variant) {
   return o;
 }
 
-// `batch` (lane count for the batched SIMD path) only makes sense on
-// the layered kinds, which have batched implementations; on flooding
-// kinds it must stay a loud spec error.
+// `batch` (frames per SIMD lane group) only makes sense on the
+// layered kinds, which all run LayeredDecoder; on flooding kinds it
+// must stay a loud spec error.
 void ExpectKeysMaybeBatch(const DecoderSpec& spec,
                           std::vector<const char*> keys, bool layered) {
   if (layered) keys.push_back("batch");
@@ -78,6 +76,9 @@ std::size_t BatchFromSpec(const DecoderSpec& spec, int fallback) {
 
 /// "13/16" -> DyadicFraction{13, 4}; the denominator must be a power
 /// of two (the only multiplier shape the hardware normalizer has).
+/// Both parts are bounded by 2^16, which keeps the normalizer's
+/// mag * num + 2^(shift-1) inside int32 for every message width the
+/// spec accepts (wm <= 16).
 DyadicFraction ParseDyadic(const std::string& v) {
   const auto slash = v.find('/');
   CLDPC_EXPECTS(slash != std::string::npos,
@@ -92,6 +93,8 @@ DyadicFraction ParseDyadic(const std::string& v) {
   const long num = parse_part(v.substr(0, slash));
   const long den = parse_part(v.substr(slash + 1));
   CLDPC_EXPECTS(num > 0 && den > 0, "decoder spec: norm parts must be > 0");
+  CLDPC_EXPECTS(num <= (1L << 16) && den <= (1L << 16),
+                "decoder spec: norm parts must be <= 65536, got: " + v);
   CLDPC_EXPECTS((den & (den - 1)) == 0,
                 "decoder spec: norm denominator must be a power of two");
   int shift = 0;
@@ -148,12 +151,10 @@ std::map<std::string, DecoderBuilder>& Registry() {
                  -> std::unique_ptr<Decoder> {
         ExpectMinSumKeys(spec, variant, layered);
         const auto options = MinSumFromSpec(spec, variant);
-        if (layered && spec.Has("batch")) {
-          return std::make_unique<BatchedLayeredDecoder>(
+        if (layered) {
+          return std::make_unique<LayeredDecoder<DoubleLanes>>(
               code, options, BatchFromSpec(spec, 1));
         }
-        if (layered)
-          return std::make_unique<LayeredMinSumDecoder>(code, options);
         return std::make_unique<MinSumDecoder>(code, options);
       };
     };
@@ -163,16 +164,16 @@ std::map<std::string, DecoderBuilder>& Registry() {
     r["layered-ms"] = minsum(MinSumVariant::kPlain, true);
     r["layered-nms"] = minsum(MinSumVariant::kNormalized, true);
     r["layered-oms"] = minsum(MinSumVariant::kOffset, true);
-    // Single-precision batched layered path: a new datapath (not a
-    // bit-exact view of an existing decoder), so a kind of its own.
-    // Twice the SIMD lanes per register of the double path; defaults
-    // to 8 lanes, since batching is its whole point.
+    // Single-precision layered path: a new datapath (not a bit-exact
+    // view of an existing decoder), so a kind of its own. Twice the
+    // SIMD lanes per register of the double path; defaults to 8
+    // lanes, since batching is its whole point.
     r["layered-nms-f32"] = [](const LdpcCode& code, const DecoderSpec& spec)
         -> std::unique_ptr<Decoder> {
       ExpectMinSumKeys(spec, MinSumVariant::kNormalized, /*layered=*/true);
-      return std::make_unique<BatchedLayeredDecoderF32>(
-          code, MinSumFromSpec(spec, MinSumVariant::kNormalized),
-          BatchFromSpec(spec, 8));
+      const auto options = MinSumFromSpec(spec, MinSumVariant::kNormalized);
+      return std::make_unique<LayeredDecoder<F32Lanes>>(
+          code, options, BatchFromSpec(spec, 8));
     };
     r["fixed-nms"] = [](const LdpcCode& code, const DecoderSpec& spec) {
       return std::make_unique<FixedMinSumDecoder>(
@@ -182,23 +183,20 @@ std::map<std::string, DecoderBuilder>& Registry() {
                                 const DecoderSpec& spec)
         -> std::unique_ptr<Decoder> {
       const auto options = FixedFromSpec(spec, /*layered=*/true);
-      if (spec.Has("batch")) {
-        return std::make_unique<BatchedFixedLayeredDecoder>(
-            code, options, BatchFromSpec(spec, 1));
-      }
-      return std::make_unique<FixedLayeredMinSumDecoder>(code, options);
+      return std::make_unique<LayeredDecoder<FixedLanes>>(
+          code, options, BatchFromSpec(spec, 1));
     };
     // Int8 lane datapath: fixed-layered-nms's quantization semantics
     // with messages in int8 lanes over an int16 APP accumulator —
     // 4x the lane density of the int32 fixed path, and byte-identical
     // to it per frame under the width contract the decoder enforces
     // (wm <= 8, wapp <= 14, norm <= 1; the fixed defaults qualify).
-    // Always batched; defaults to the full 32-lane group width.
+    // Defaults to the full 32-lane group width.
     r["fixed-layered-nms-i8"] = [](const LdpcCode& code,
                                    const DecoderSpec& spec)
         -> std::unique_ptr<Decoder> {
       const auto options = FixedFromSpec(spec, /*layered=*/true);
-      return std::make_unique<BatchedFixedI8LayeredDecoder>(
+      return std::make_unique<LayeredDecoder<I8Lanes>>(
           code, options, BatchFromSpec(spec, 32));
     };
     // Aliases.

@@ -11,13 +11,12 @@
 //   nms                               — normalized min-sum
 //   oms                               — offset min-sum
 //   layered-ms / layered-nms (layered) / layered-oms
-//   layered-nms-f32 (layered-f32)     — batched single-precision
-//                                       layered NMS (SIMD lanes)
+//   layered-nms-f32 (layered-f32)     — single-precision layered NMS
 //   fixed-nms (fixed)                 — bit-accurate fixed flooding
 //   fixed-layered-nms (fixed-layered) — bit-accurate fixed layered
 //   fixed-layered-nms-i8 (fixed-layered-i8)
 //                                     — int8 lane datapath (int16 APP
-//                                       accumulator), always batched
+//                                       accumulator)
 //
 // Common params: iters=<int> (default 18), et=<0|1> (early
 // termination, default 1). Float min-sum family: alpha=<float>
@@ -29,17 +28,17 @@
 // with a power-of-two denominator for the exact dyadic correction.
 //
 // Layered kinds additionally take batch=<lanes> (in [1, 32]): decode
-// up to that many frames in SIMD lockstep per DecodeBatch call. On
-// layered-ms/nms/oms and fixed-layered-nms the batched decoder's
-// per-lane results are byte-identical to the scalar decoder, so
-// batch= is purely a throughput knob; layered-nms-f32 is always
-// batched (default batch=8) and trades bit-identity with the double
-// path for twice the SIMD width (BER-curve equivalent).
-// fixed-layered-nms-i8 is always batched (default batch=32, lane
-// groups up to 32 wide) and is byte-identical per frame to
-// fixed-layered-nms with the same params — its narrower words demand
-// wm in [2, 8], wapp in [wm, 14] and norm <= 1 (loud spec error
-// otherwise), which the fixed defaults satisfy.
+// up to that many frames in SIMD lockstep per DecodeBatch call. Every
+// layered kind runs the one LayeredDecoder, and per-lane results
+// never depend on the lane count, so batch= is purely a throughput
+// knob. Defaults: batch=1 on layered-ms/nms/oms and fixed-layered-nms,
+// batch=8 on layered-nms-f32 (which trades bit-identity with the
+// double path for twice the SIMD width; BER-curve equivalent), and
+// batch=32 on fixed-layered-nms-i8 (lane groups up to 32 wide),
+// which is byte-identical per frame to fixed-layered-nms with the
+// same params — its narrower words demand wm in [2, 8], wapp in
+// [wm, 14] and norm <= 1 (loud spec error otherwise), which the
+// fixed defaults satisfy. norm= parts are bounded by 65536.
 //
 // Examples: "layered-nms:alpha=1.25,batch=8", "fixed-nms:iters=50,wm=8",
 // "fixed-layered-nms:norm=13/16,et=0", "layered-nms-f32:batch=16",

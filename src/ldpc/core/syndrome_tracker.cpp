@@ -4,22 +4,6 @@
 
 namespace cldpc::ldpc::core {
 
-void SyndromeTracker::Reset(std::span<const std::uint8_t> hard) {
-  CLDPC_EXPECTS(hard.size() == sched_->num_bits(),
-                "hard decision length must equal n");
-  for (std::size_t m = 0; m < sched_->num_checks(); ++m) {
-    std::uint8_t p = 0;
-    for (const auto b : sched_->CheckBits(m)) p ^= hard[b];
-    parity_[m] = p;
-  }
-}
-
-bool SyndromeTracker::AllSatisfied() const {
-  std::uint8_t acc = 0;
-  for (const auto p : parity_) acc |= p;
-  return acc == 0;
-}
-
 void BatchSyndromeTracker::Reset(std::span<const std::uint8_t> hard,
                                  std::size_t lanes) {
   CLDPC_EXPECTS(lanes >= 1 && lanes <= 32, "lane masks are 32-bit");

@@ -3,8 +3,8 @@
 // A layered decoder knows exactly when a bit's APP sign flips — at
 // the moment it writes the APP back. Re-deriving the whole syndrome
 // from scratch every iteration (LdpcCode::IsCodeword, O(edges) XORs
-// plus a dense bit-vector build) throws that knowledge away. These
-// trackers instead keep a live parity bit per check and touch only
+// plus a dense bit-vector build) throws that knowledge away. This
+// tracker instead keeps a live parity bit per check and touches only
 // the checks adjacent to a bit whose hard decision actually changed —
 // a handful of toggles per flip, and sign flips die out quickly as
 // decoding converges. The convergence query is then a flat OR-scan
@@ -12,15 +12,17 @@
 // roughly 4x cheaper than a syndrome recompute on a (4, 32)-regular
 // code even before counting the flip sparsity.
 //
-// Contract: after Reset(hard) followed by Flip(n) for every bit whose
-// hard decision changed since, the parity state equals the syndrome
-// of the current hard-decision vector — AllSatisfied() agrees exactly
-// with IsCodeword() (tests/test_batched_decoder.cpp locks this).
+// It is lane-parallel, for LayeredDecoder's lane groups: one parity
+// *mask* per check (bit l = lane l), flips applied per lane mask, and
+// the OR-scan returns the mask of lanes with at least one unsatisfied
+// check.
 //
-// BatchSyndromeTracker is the lane-parallel variant for the batched
-// decoders: one parity *mask* per check (bit l = lane l), flips
-// applied per lane mask, and the OR-scan returns the mask of lanes
-// with at least one unsatisfied check.
+// Contract: after a Reset followed by Flip(n, lanes) for every bit
+// whose hard decision changed since, in exactly those lanes, the
+// parity state equals each lane's syndrome of its current
+// hard-decision vector — a lane's UnsatisfiedLanes() bit is clear
+// exactly when IsCodeword() holds for it (tests/test_batched_decoder.cpp
+// locks this).
 #pragma once
 
 #include <cstdint>
@@ -30,30 +32,6 @@
 #include "ldpc/core/layer_schedule.hpp"
 
 namespace cldpc::ldpc::core {
-
-class SyndromeTracker {
- public:
-  /// The schedule must outlive the tracker.
-  explicit SyndromeTracker(const LayerSchedule& sched)
-      : sched_(&sched), parity_(sched.num_checks(), 0) {}
-
-  /// Rebuild the parity state from a full hard-decision vector
-  /// (length num_bits, 0/1 bytes).
-  void Reset(std::span<const std::uint8_t> hard);
-
-  /// Bit n's hard decision flipped: toggle its checks' parities.
-  void Flip(std::size_t n) {
-    for (const auto m : sched_->BitChecks(n)) parity_[m] ^= 1u;
-  }
-
-  /// True iff every check parity is even (== IsCodeword of the hard
-  /// decisions the tracker has been kept in sync with).
-  bool AllSatisfied() const;
-
- private:
-  const LayerSchedule* sched_;
-  std::vector<std::uint8_t> parity_;  // one parity bit per check
-};
 
 class BatchSyndromeTracker {
  public:

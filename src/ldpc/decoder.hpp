@@ -49,10 +49,11 @@ class Decoder {
   /// Decode `num_frames` frames of channel LLRs, concatenated
   /// frame-major (llrs.size() == num_frames * n), returning one
   /// result per frame in frame order. The base implementation decodes
-  /// frame by frame; batched decoders override it to run frames in
-  /// SIMD lanes. Contract: per-frame results never depend on how
-  /// frames are grouped into batches — for the scalar-datapath
-  /// decoders they are byte-identical to looping Decode.
+  /// frame by frame; LayeredDecoder overrides it to run frames in SIMD
+  /// lane groups. Contract: per-frame results never depend on how
+  /// frames are grouped into batches — every decoder's DecodeBatch is
+  /// byte-identical to looping Decode (whose single frame is, for
+  /// LayeredDecoder, the 1-lane group).
   virtual std::vector<DecodeResult> DecodeBatch(std::span<const double> llrs,
                                                 std::size_t num_frames);
 

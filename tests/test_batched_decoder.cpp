@@ -1,16 +1,17 @@
-// The batched-decode contracts:
+// The LayeredDecoder lane contracts:
 //
-//  1. Byte identity: for every scalar-datapath registry spec kind,
-//     DecodeBatch over any batch size B produces, per lane,
-//     byte-identical results to scalar Decode on the same frame —
-//     both for the real batched decoders (layered kinds with batch=N)
-//     and for the base-class frame-loop fallback (flooding kinds).
+//  1. Byte identity: for every scalar-datapath layered spec,
+//     DecodeBatch over any lane count (1 included — the default, a
+//     spec without `batch`) produces, per lane, byte-identical results
+//     to the test-local stored-message scalar references below; the
+//     base-class DecodeBatch of the flooding kinds is exactly a frame
+//     loop.
 //  2. Incremental syndrome tracking (core/syndrome_tracker.hpp)
 //     agrees exactly with LdpcCode::IsCodeword at every step.
 //  3. The f32 lane datapath is not bit-exact to the double path by
 //     design; it must track its BER behaviour closely.
 //  4. Through the engine: a batched spec produces the identical
-//     BerCurve the scalar spec produces, at any thread count.
+//     BerCurve the 1-lane spec produces, at any thread count.
 #include "ldpc/batched_layered_decoder.hpp"
 
 #include <gtest/gtest.h>
@@ -69,122 +70,15 @@ void ExpectSameResult(const DecodeResult& got, const DecodeResult& want,
   EXPECT_EQ(got.iterations_run, want.iterations_run) << context;
 }
 
-// ---- 1. Batch-vs-scalar byte identity. ----------------------------
-
-// Layered kinds with real batched implementations: batch=N must be
-// byte-identical per lane to the scalar decoder, for every variant,
-// with and without early termination, across batch sizes that
-// exercise full lane groups, ragged tails, and the single-lane path.
-TEST(BatchedDecoder, LayeredKindsByteIdenticalToScalar) {
-  const auto& code = SmallCode();
-  const char* specs[] = {
-      "layered-nms:alpha=1.23,iters=12",
-      "layered-nms:alpha=1.5,iters=10,dyadic=0",
-      "layered-ms:iters=8",
-      "layered-oms:iters=10,beta=0.5",
-      "layered-nms:alpha=1.23,iters=6,et=0",
-      "fixed-layered-nms:iters=12",
-      "fixed-layered-nms:iters=8,wm=5",
-      "fixed-layered-nms:iters=6,et=0",
-  };
-  for (const char* spec : specs) {
-    const auto scalar = MakeDecoder(code, spec);
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{8}}) {
-      const auto batched = MakeDecoder(
-          code, std::string(spec) + ",batch=" + std::to_string(batch));
-      // More frames than lanes, so chunking across groups is covered.
-      const std::size_t frames = batch + 2;
-      const auto llrs = NoisyFrames(code, frames, 4.2, 100);
-      const auto results = batched->DecodeBatch(llrs, frames);
-      ASSERT_EQ(results.size(), frames);
-      for (std::size_t f = 0; f < frames; ++f) {
-        const std::span<const double> frame(llrs.data() + f * code.n(),
-                                            code.n());
-        ExpectSameResult(results[f], scalar->Decode(frame),
-                         std::string(spec) + " batch=" +
-                             std::to_string(batch) + " frame " +
-                             std::to_string(f));
-      }
-    }
-  }
-}
-
-// Single-frame Decode through a batched decoder is the lane-1 path
-// and must also match the scalar decoder exactly.
-TEST(BatchedDecoder, SingleFrameDecodeMatchesScalar) {
-  const auto& code = SmallCode();
-  for (const char* spec :
-       {"layered-nms:alpha=1.23,iters=12", "fixed-layered-nms:iters=12"}) {
-    const auto scalar = MakeDecoder(code, spec);
-    const auto batched = MakeDecoder(code, std::string(spec) + ",batch=8");
-    for (std::uint64_t seed = 300; seed < 306; ++seed) {
-      const auto llr = NoisyFrame(code, 4.2, seed);
-      ExpectSameResult(batched->Decode(llr), scalar->Decode(llr),
-                       std::string(spec) + " seed " + std::to_string(seed));
-    }
-  }
-}
-
-// Flooding kinds (float and fixed) have no batched implementation;
-// the base-class DecodeBatch must be exactly a frame loop.
-TEST(BatchedDecoder, DefaultDecodeBatchLoopsDecode) {
-  const auto& code = SmallCode();
-  const char* specs[] = {"nms:iters=10", "ms:iters=8", "oms:iters=8,beta=0.5",
-                         "fixed-nms:iters=10", "fixed-nms:iters=6,et=0",
-                         "bp:iters=5"};
-  for (const char* spec : specs) {
-    const auto loop = MakeDecoder(code, spec);
-    const auto batch = MakeDecoder(code, spec);
-    for (const std::size_t frames : {std::size_t{1}, std::size_t{3},
-                                     std::size_t{8}}) {
-      const auto llrs = NoisyFrames(code, frames, 4.2, 200);
-      const auto results = batch->DecodeBatch(llrs, frames);
-      ASSERT_EQ(results.size(), frames);
-      for (std::size_t f = 0; f < frames; ++f) {
-        const std::span<const double> frame(llrs.data() + f * code.n(),
-                                            code.n());
-        ExpectSameResult(results[f], loop->Decode(frame),
-                         std::string(spec) + " frame " + std::to_string(f));
-      }
-    }
-  }
-}
-
-// batch= on a flooding kind must be a loud spec error, and bad lane
-// counts must be rejected.
-TEST(BatchedDecoder, BatchParamValidation) {
-  const auto& code = SmallCode();
-  EXPECT_THROW(MakeDecoder(code, "nms:batch=8"), ContractViolation);
-  EXPECT_THROW(MakeDecoder(code, "fixed-nms:batch=8"), ContractViolation);
-  EXPECT_THROW(MakeDecoder(code, "bp:batch=8"), ContractViolation);
-  EXPECT_THROW(MakeDecoder(code, "layered-nms:batch=0"), ContractViolation);
-  EXPECT_THROW(MakeDecoder(code, "layered-nms:batch=33"), ContractViolation);
-  EXPECT_THROW(MakeDecoder(code, "layered-nms-f32:batch=0"),
-               ContractViolation);
-  // In-range lane counts construct.
-  EXPECT_NE(MakeDecoder(code, "layered-nms:batch=32"), nullptr);
-  EXPECT_NE(MakeDecoder(code, "layered-nms-f32"), nullptr);
-  EXPECT_NE(MakeDecoder(code, "layered-f32"), nullptr);
-}
-
-// A batched DecodeBatch must reject a ragged LLR block.
-TEST(BatchedDecoder, RejectsRaggedLlrBlock) {
-  const auto& code = SmallCode();
-  const auto batched = MakeDecoder(code, "layered-nms:batch=4");
-  const std::vector<double> llrs(code.n() * 2 + 1, 0.5);
-  EXPECT_THROW(batched->DecodeBatch(llrs, 2), ContractViolation);
-  EXPECT_THROW(batched->DecodeBatch(llrs, 0), ContractViolation);
-}
-
-// ---- 1b. Compressed message storage == stored per-edge messages. --
+// ---- Scalar references: stored per-edge messages. -----------------
 //
-// The layered decoders now keep one compressed record per check and
-// reconstruct messages on the fly (core/cn_compress.hpp). These
-// references are the pre-compression decoders, written out naively
-// with a full per-edge check-to-bit array: the production decoders
-// must reproduce them byte for byte on every datapath, for every
-// min-sum variant, with early termination on and off.
+// LayeredDecoder keeps one compressed record per check and
+// reconstructs messages on the fly (core/cn_compress.hpp), in SIMD
+// lane groups. These references are plain one-frame layered decoders
+// written out naively with a full per-edge check-to-bit array: the
+// production decoder must reproduce them byte for byte at every lane
+// count, on both scalar datapaths, for every min-sum variant, with
+// early termination on and off.
 
 DecodeResult StoredMessageLayeredReference(const LdpcCode& code,
                                            const MinSumOptions& options,
@@ -272,6 +166,130 @@ DecodeResult StoredMessageFixedLayeredReference(const LdpcCode& code,
   return result;
 }
 
+// ---- 1. Batch-vs-scalar byte identity. ----------------------------
+
+constexpr std::size_t kLaneCounts[] = {1, 3, 8, 16};
+
+/// The scalar reference's result for frame `llr` under the options of
+/// the LayeredDecoder `decoder` (double or int32 fixed lanes).
+DecodeResult ScalarReference(const LdpcCode& code, const Decoder& decoder,
+                             std::span<const double> llr) {
+  if (const auto* d =
+          dynamic_cast<const LayeredDecoder<DoubleLanes>*>(&decoder))
+    return StoredMessageLayeredReference(code, d->options(), llr);
+  const auto& f = dynamic_cast<const LayeredDecoder<FixedLanes>&>(decoder);
+  return StoredMessageFixedLayeredReference(code, f.options(), llr);
+}
+
+// Every scalar-datapath layered spec, at lane counts that exercise
+// the 1-lane group, full lane groups and ragged tails: DecodeBatch
+// must be byte-identical per lane to the scalar reference, for every
+// variant, with and without early termination.
+TEST(BatchedDecoder, LayeredKindsByteIdenticalToScalar) {
+  const auto& code = SmallCode();
+  const char* specs[] = {
+      "layered-nms:alpha=1.23,iters=12",
+      "layered-nms:alpha=1.5,iters=10,dyadic=0",
+      "layered-ms:iters=8",
+      "layered-oms:iters=10,beta=0.5",
+      "layered-nms:alpha=1.23,iters=6,et=0",
+      "fixed-layered-nms:iters=12",
+      "fixed-layered-nms:iters=8,wm=5",
+      "fixed-layered-nms:iters=6,et=0",
+  };
+  for (const char* spec : specs) {
+    for (const std::size_t batch : kLaneCounts) {
+      const auto batched = MakeDecoder(
+          code, std::string(spec) + ",batch=" + std::to_string(batch));
+      // More frames than lanes, so chunking across groups is covered.
+      const std::size_t frames = batch + 2;
+      const auto llrs = NoisyFrames(code, frames, 4.2, 100);
+      const auto results = batched->DecodeBatch(llrs, frames);
+      ASSERT_EQ(results.size(), frames);
+      for (std::size_t f = 0; f < frames; ++f) {
+        const std::span<const double> frame(llrs.data() + f * code.n(),
+                                            code.n());
+        ExpectSameResult(results[f], ScalarReference(code, *batched, frame),
+                         std::string(spec) + " batch=" +
+                             std::to_string(batch) + " frame " +
+                             std::to_string(f));
+      }
+    }
+  }
+}
+
+// Single-frame Decode is the 1-lane group whatever the lane count,
+// and must match the scalar reference exactly too.
+TEST(BatchedDecoder, SingleFrameDecodeMatchesScalar) {
+  const auto& code = SmallCode();
+  for (const char* spec :
+       {"layered-nms:alpha=1.23,iters=12", "fixed-layered-nms:iters=12"}) {
+    for (const std::size_t batch : kLaneCounts) {
+      const auto decoder = MakeDecoder(
+          code, std::string(spec) + ",batch=" + std::to_string(batch));
+      for (std::uint64_t seed = 300; seed < 306; ++seed) {
+        const auto llr = NoisyFrame(code, 4.2, seed);
+        ExpectSameResult(decoder->Decode(llr),
+                         ScalarReference(code, *decoder, llr),
+                         std::string(spec) + " batch=" +
+                             std::to_string(batch) + " seed " +
+                             std::to_string(seed));
+      }
+    }
+  }
+}
+
+// Flooding kinds (float and fixed) have no batched implementation;
+// the base-class DecodeBatch must be exactly a frame loop.
+TEST(BatchedDecoder, DefaultDecodeBatchLoopsDecode) {
+  const auto& code = SmallCode();
+  const char* specs[] = {"nms:iters=10", "ms:iters=8", "oms:iters=8,beta=0.5",
+                         "fixed-nms:iters=10", "fixed-nms:iters=6,et=0",
+                         "bp:iters=5"};
+  for (const char* spec : specs) {
+    const auto loop = MakeDecoder(code, spec);
+    const auto batch = MakeDecoder(code, spec);
+    for (const std::size_t frames : {std::size_t{1}, std::size_t{3},
+                                     std::size_t{8}}) {
+      const auto llrs = NoisyFrames(code, frames, 4.2, 200);
+      const auto results = batch->DecodeBatch(llrs, frames);
+      ASSERT_EQ(results.size(), frames);
+      for (std::size_t f = 0; f < frames; ++f) {
+        const std::span<const double> frame(llrs.data() + f * code.n(),
+                                            code.n());
+        ExpectSameResult(results[f], loop->Decode(frame),
+                         std::string(spec) + " frame " + std::to_string(f));
+      }
+    }
+  }
+}
+
+// batch= on a flooding kind must be a loud spec error, and bad lane
+// counts must be rejected.
+TEST(BatchedDecoder, BatchParamValidation) {
+  const auto& code = SmallCode();
+  EXPECT_THROW(MakeDecoder(code, "nms:batch=8"), ContractViolation);
+  EXPECT_THROW(MakeDecoder(code, "fixed-nms:batch=8"), ContractViolation);
+  EXPECT_THROW(MakeDecoder(code, "bp:batch=8"), ContractViolation);
+  EXPECT_THROW(MakeDecoder(code, "layered-nms:batch=0"), ContractViolation);
+  EXPECT_THROW(MakeDecoder(code, "layered-nms:batch=33"), ContractViolation);
+  EXPECT_THROW(MakeDecoder(code, "layered-nms-f32:batch=0"),
+               ContractViolation);
+  // In-range lane counts construct.
+  EXPECT_NE(MakeDecoder(code, "layered-nms:batch=32"), nullptr);
+  EXPECT_NE(MakeDecoder(code, "layered-nms-f32"), nullptr);
+  EXPECT_NE(MakeDecoder(code, "layered-f32"), nullptr);
+}
+
+// A batched DecodeBatch must reject a ragged LLR block.
+TEST(BatchedDecoder, RejectsRaggedLlrBlock) {
+  const auto& code = SmallCode();
+  const auto batched = MakeDecoder(code, "layered-nms:batch=4");
+  const std::vector<double> llrs(code.n() * 2 + 1, 0.5);
+  EXPECT_THROW(batched->DecodeBatch(llrs, 2), ContractViolation);
+  EXPECT_THROW(batched->DecodeBatch(llrs, 0), ContractViolation);
+}
+
 TEST(CompressedCnStorage, FloatLayeredMatchesStoredMessageReference) {
   const auto& code = SmallCode();
   const struct {
@@ -286,6 +304,8 @@ TEST(CompressedCnStorage, FloatLayeredMatchesStoredMessageReference) {
       {"layered-oms:iters=10,beta=0.5,et=0", MinSumVariant::kOffset},
   };
   for (const auto& c : cases) {
+    // Options built by hand from the spec text, so the reference does
+    // not lean on the registry's own parsing.
     const auto spec = DecoderSpec::Parse(c.spec);
     MinSumOptions o;
     o.variant = c.variant;
@@ -293,16 +313,15 @@ TEST(CompressedCnStorage, FloatLayeredMatchesStoredMessageReference) {
     o.iter.early_termination = spec.GetBool("et", true);
     o.alpha = spec.GetDouble("alpha", 1.23);
     o.beta = spec.GetDouble("beta", 0.5);
-    const auto scalar = MakeDecoder(code, c.spec);
+    const auto unbatched = MakeDecoder(code, c.spec);
     for (std::uint64_t seed = 900; seed < 906; ++seed) {
       // Mixed SNRs: some frames converge, some stay stuck.
       const auto llr = NoisyFrame(code, seed % 2 ? 4.2 : 2.2, seed);
       const auto want = StoredMessageLayeredReference(code, o, llr);
-      ExpectSameResult(scalar->Decode(llr), want,
-                       std::string(c.spec) + " scalar seed " +
+      ExpectSameResult(unbatched->Decode(llr), want,
+                       std::string(c.spec) + " seed " +
                            std::to_string(seed));
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                      std::size_t{8}}) {
+      for (const std::size_t batch : kLaneCounts) {
         const auto batched = MakeDecoder(
             code, std::string(c.spec) + ",batch=" + std::to_string(batch));
         ExpectSameResult(batched->Decode(llr), want,
@@ -324,40 +343,69 @@ TEST(CompressedCnStorage, FixedLayeredMatchesStoredMessageReference) {
     o.iter.max_iterations = parsed.GetInt("iters", 18);
     o.iter.early_termination = parsed.GetBool("et", true);
     o.datapath.message_bits = parsed.GetInt("wm", o.datapath.message_bits);
-    const auto scalar = MakeDecoder(code, spec);
-    const auto batched =
-        MakeDecoder(code, std::string(spec) + ",batch=8");
+    const auto unbatched = MakeDecoder(code, spec);
     for (std::uint64_t seed = 950; seed < 956; ++seed) {
       const auto llr = NoisyFrame(code, seed % 2 ? 4.2 : 2.2, seed);
       const auto want = StoredMessageFixedLayeredReference(code, o, llr);
-      ExpectSameResult(scalar->Decode(llr), want,
-                       std::string(spec) + " scalar seed " +
-                           std::to_string(seed));
-      ExpectSameResult(batched->Decode(llr), want,
-                       std::string(spec) + " batched seed " +
-                           std::to_string(seed));
+      ExpectSameResult(unbatched->Decode(llr), want,
+                       std::string(spec) + " seed " + std::to_string(seed));
+      for (const std::size_t batch : kLaneCounts) {
+        const auto batched = MakeDecoder(
+            code, std::string(spec) + ",batch=" + std::to_string(batch));
+        ExpectSameResult(batched->Decode(llr), want,
+                         std::string(spec) + " batch=" +
+                             std::to_string(batch) + " seed " +
+                             std::to_string(seed));
+      }
     }
   }
 }
 
+// Options built by hand bypass the registry's range checks; the fixed
+// constructors must reject a normalizer that would over-shift or
+// overflow int32 (and the i8 one must do so before it shifts by the
+// out-of-range amount itself).
+TEST(CompressedCnStorage, FixedConstructorsRejectOutOfRangeNorm) {
+  const auto& code = SmallCode();
+  for (const DyadicFraction norm :
+       {DyadicFraction{1, 39}, DyadicFraction{1, 17}, DyadicFraction{1, -1},
+        DyadicFraction{0, 4}, DyadicFraction{65537, 16},
+        DyadicFraction{2000000000, 2}}) {
+    FixedMinSumOptions o;
+    o.datapath.normalization = norm;
+    EXPECT_THROW(LayeredDecoder<FixedLanes>(code, o), ContractViolation)
+        << norm.num << "/2^" << norm.shift;
+    EXPECT_THROW(LayeredDecoder<I8Lanes>(code, o), ContractViolation)
+        << norm.num << "/2^" << norm.shift;
+  }
+  FixedMinSumOptions o;
+  o.datapath.normalization = DyadicFraction{65536, 16};
+  EXPECT_NO_THROW(LayeredDecoder<FixedLanes>(code, o));
+}
+
 // ---- 2. Incremental syndrome == IsCodeword. -----------------------
 
+// One lane, reset from packed masks (the decoder's native form):
+// the tracker must agree with IsCodeword after every single flip.
 TEST(SyndromeTracker, MatchesIsCodewordUnderRandomFlips) {
   const auto& code = SmallCode();
   Xoshiro256pp rng(77);
-  std::vector<std::uint8_t> hard(code.n());
+  std::vector<std::uint32_t> hard(code.n());
   for (auto& b : hard) b = rng.NextBit() ? 1 : 0;
+  const auto word = [&] {
+    return std::vector<std::uint8_t>(hard.begin(), hard.end());
+  };
 
-  core::SyndromeTracker tracker(code.schedule());
-  tracker.Reset(hard);
-  EXPECT_EQ(tracker.AllSatisfied(), code.IsCodeword(hard));
+  core::BatchSyndromeTracker tracker(code.schedule());
+  tracker.ResetMasks(hard);
+  EXPECT_EQ(tracker.UnsatisfiedLanes() == 0, code.IsCodeword(word()));
 
   for (int step = 0; step < 200; ++step) {
     const auto n = static_cast<std::size_t>(
         rng.NextBounded(static_cast<std::uint32_t>(code.n())));
     hard[n] ^= 1;
-    tracker.Flip(n);
-    ASSERT_EQ(tracker.AllSatisfied(), code.IsCodeword(hard))
+    tracker.Flip(n, 1u);
+    ASSERT_EQ(tracker.UnsatisfiedLanes() == 0, code.IsCodeword(word()))
         << "after flip " << step;
   }
 
@@ -366,10 +414,10 @@ TEST(SyndromeTracker, MatchesIsCodewordUnderRandomFlips) {
   for (std::size_t n = 0; n < code.n(); ++n) {
     if (hard[n]) {
       hard[n] = 0;
-      tracker.Flip(n);
+      tracker.Flip(n, 1u);
     }
   }
-  EXPECT_TRUE(tracker.AllSatisfied());
+  EXPECT_EQ(tracker.UnsatisfiedLanes(), 0u);
 }
 
 TEST(SyndromeTracker, BatchVariantMatchesPerLaneIsCodeword) {

@@ -4,12 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "channel/awgn.hpp"
 #include "ldpc/bp_decoder.hpp"
+#include "ldpc/core/registry.hpp"
 #include "ldpc/encoder.hpp"
 #include "ldpc/fixed_minsum_decoder.hpp"
-#include "ldpc/layered_decoder.hpp"
 #include "ldpc/minsum_decoder.hpp"
 #include "qc/small_codes.hpp"
 #include "util/rng.hpp"
@@ -54,12 +55,9 @@ std::unique_ptr<Decoder> Make(Kind kind, int iterations) {
       o.beta = 0.4;
       return std::make_unique<MinSumDecoder>(f.code, o);
     }
-    case Kind::kLayered: {
-      MinSumOptions o;
-      o.iter = iter;
-      o.alpha = 1.23;
-      return std::make_unique<LayeredMinSumDecoder>(f.code, o);
-    }
+    case Kind::kLayered:
+      return MakeDecoder(f.code, "layered-nms:alpha=1.23,iters=" +
+                                     std::to_string(iterations));
     case Kind::kFixed: {
       FixedMinSumOptions o;
       o.iter = iter;

@@ -18,10 +18,9 @@
 
 #include "channel/awgn.hpp"
 #include "engine/decoder_pool.hpp"
+#include "ldpc/batched_layered_decoder.hpp"
 #include "ldpc/encoder.hpp"
-#include "ldpc/fixed_layered_decoder.hpp"
 #include "ldpc/fixed_minsum_decoder.hpp"
-#include "ldpc/layered_decoder.hpp"
 #include "ldpc/minsum_decoder.hpp"
 #include "qc/small_codes.hpp"
 #include "sim/ber_runner.hpp"
@@ -300,6 +299,15 @@ TEST(DecoderSpec, RejectsBadValues) {
                ContractViolation);
   EXPECT_THROW(MakeDecoder(code, "fixed-nms:norm=13/16x"),
                ContractViolation);
+  // norm parts beyond 2^16 would overflow or over-shift the
+  // normalizer (mag * num + 2^(shift-1) in int32).
+  for (const char* spec :
+       {"fixed-layered-nms:norm=1/1099511627776", "fixed-nms:norm=1/4294967296",
+        "fixed-layered-nms:norm=3000000000/4", "fixed-nms:norm=65537/65536",
+        "fixed-layered-nms:norm=1/131072", "fixed-layered-nms-i8:norm=1/512"}) {
+    EXPECT_THROW(MakeDecoder(code, spec), std::invalid_argument) << spec;
+  }
+  EXPECT_NE(MakeDecoder(code, "fixed-layered-nms:norm=65536/65536"), nullptr);
 }
 
 TEST(DecoderSpec, RejectsOutOfRangeFixedWidths) {
@@ -417,7 +425,7 @@ TEST(Equivalence, LayeredMatchesPreRefactorReference) {
         "layered-oms:iters=10,beta=0.5"}) {
     const auto decoder = MakeDecoder(code, spec);
     const auto& options =
-        dynamic_cast<const LayeredMinSumDecoder&>(*decoder).options();
+        dynamic_cast<const LayeredDecoder<DoubleLanes>&>(*decoder).options();
     for (std::uint64_t seed = 11; seed <= 16; ++seed) {
       const auto llr = NoisyFrame(code, 4.5, seed);
       ExpectSameResult(decoder->Decode(llr),
@@ -447,7 +455,7 @@ TEST(Equivalence, FixedLayeredMatchesPreRefactorReference) {
        {"fixed-layered-nms:iters=12", "fixed-layered-nms:iters=8,wm=5"}) {
     const auto decoder = MakeDecoder(code, spec);
     const auto& options =
-        dynamic_cast<const FixedLayeredMinSumDecoder&>(*decoder).options();
+        dynamic_cast<const LayeredDecoder<FixedLanes>&>(*decoder).options();
     for (std::uint64_t seed = 31; seed <= 36; ++seed) {
       const auto llr = NoisyFrame(code, 4.5, seed);
       ExpectSameResult(decoder->Decode(llr),
@@ -474,7 +482,7 @@ TEST(Equivalence, RunSpecMatchesHandConstructedRun) {
   o.iter.max_iterations = 12;
   o.alpha = 1.23;
   auto by_hand = runner.Run(
-      [&] { return std::make_unique<LayeredMinSumDecoder>(code, o); });
+      [&] { return std::make_unique<LayeredDecoder<DoubleLanes>>(code, o); });
 
   ASSERT_EQ(by_spec.points.size(), by_hand.points.size());
   for (std::size_t i = 0; i < by_spec.points.size(); ++i) {

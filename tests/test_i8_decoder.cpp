@@ -6,7 +6,7 @@
 //     and lane batching change nothing about the arithmetic.
 //  2. Width-contract identity: under the enforced contract (wm <= 8,
 //     wapp <= 14, norm <= 1) the i8 decoder is byte-identical to the
-//     int32 FixedLayeredMinSumDecoder per frame, across batch sizes
+//     int32 fixed-layered-nms decoder per frame, across batch sizes
 //     and early-termination settings; through the engine, the BER
 //     curve equals the int32 fixed curve exactly at every thread
 //     count.
@@ -30,7 +30,6 @@
 #include "ldpc/core/dispatch.hpp"
 #include "ldpc/core/registry.hpp"
 #include "ldpc/encoder.hpp"
-#include "ldpc/fixed_layered_decoder.hpp"
 #include "obs/decode_sink.hpp"
 #include "qc/small_codes.hpp"
 #include "sim/ber_runner.hpp"
@@ -162,7 +161,7 @@ TEST(I8Decoder, MatchesStoredPerEdgeReference) {
     FixedMinSumOptions o;
     o.iter.max_iterations = 12;
     o.iter.early_termination = et;
-    BatchedFixedI8LayeredDecoder dec(code, o, /*max_lanes=*/8);
+    LayeredDecoder<I8Lanes> dec(code, o, /*max_lanes=*/8);
     const std::size_t frames = 10;
     const auto llrs = NoisyFrames(code, frames, 4.0, 321);
     const auto results = dec.DecodeBatch(llrs, frames);

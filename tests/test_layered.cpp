@@ -1,10 +1,13 @@
-#include "ldpc/layered_decoder.hpp"
-
+// The layered normalized min-sum decoder through its registry specs
+// (a spec without `batch` decodes each frame as a 1-lane group).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "channel/awgn.hpp"
+#include "ldpc/core/registry.hpp"
 #include "ldpc/encoder.hpp"
-#include "ldpc/minsum_decoder.hpp"
 #include "qc/small_codes.hpp"
 #include "util/rng.hpp"
 
@@ -23,13 +26,13 @@ std::vector<std::uint8_t> RandomInfo(const LdpcCode& code, std::uint64_t seed) {
   return info;
 }
 
-MinSumOptions Opts(int iters, bool early = true) {
-  MinSumOptions o;
-  o.iter.max_iterations = iters;
-  o.iter.early_termination = early;
-  o.variant = MinSumVariant::kNormalized;
-  o.alpha = 1.23;
-  return o;
+/// Normalized min-sum, alpha 1.23, `iters` iterations; `kind` picks
+/// the schedule (layered-nms or flooding nms).
+std::unique_ptr<Decoder> Make(int iters, bool early = true,
+                              const std::string& kind = "layered-nms") {
+  return MakeDecoder(SmallCode(), kind + ":alpha=1.23,iters=" +
+                                      std::to_string(iters) +
+                                      (early ? "" : ",et=0"));
 }
 
 TEST(LayeredMinSum, NoiselessDecodes) {
@@ -38,8 +41,7 @@ TEST(LayeredMinSum, NoiselessDecodes) {
   const auto cw = enc.Encode(RandomInfo(code, 1));
   std::vector<double> llr(code.n());
   for (std::size_t i = 0; i < llr.size(); ++i) llr[i] = cw[i] ? -7.0 : 7.0;
-  LayeredMinSumDecoder dec(code, Opts(10));
-  const auto result = dec.Decode(llr);
+  const auto result = Make(10)->Decode(llr);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.bits, cw);
 }
@@ -51,8 +53,7 @@ TEST(LayeredMinSum, CorrectsErrorsAtModerateSnr) {
   for (int f = 0; f < 30; ++f) {
     const auto cw = enc.Encode(RandomInfo(code, 40 + f));
     const auto llr = channel::TransmitBpskAwgn(cw, 5.5, code.Rate(), 50 + f);
-    LayeredMinSumDecoder dec(code, Opts(20));
-    if (dec.Decode(llr).bits != cw) ++fails;
+    if (Make(20)->Decode(llr).bits != cw) ++fails;
   }
   EXPECT_LE(fails, 1);
 }
@@ -67,10 +68,8 @@ TEST(LayeredMinSum, ConvergesInFewerIterationsThanFlooding) {
   for (int f = 0; f < 40; ++f) {
     const auto cw = enc.Encode(RandomInfo(code, 900 + f));
     const auto llr = channel::TransmitBpskAwgn(cw, 5.0, code.Rate(), 950 + f);
-    MinSumDecoder flood(code, Opts(40));
-    LayeredMinSumDecoder layered(code, Opts(40));
-    const auto rf = flood.Decode(llr);
-    const auto rl = layered.Decode(llr);
+    const auto rf = Make(40, true, "nms")->Decode(llr);
+    const auto rl = Make(40)->Decode(llr);
     if (rf.converged && rl.converged) {
       flood_iters += rf.iterations_run;
       layered_iters += rl.iterations_run;
@@ -84,13 +83,11 @@ TEST(LayeredMinSum, ConvergesInFewerIterationsThanFlooding) {
 TEST(LayeredMinSum, FixedIterationMode) {
   const auto& code = SmallCode();
   const std::vector<double> llr(code.n(), 0.0);
-  LayeredMinSumDecoder dec(code, Opts(9, /*early=*/false));
-  EXPECT_EQ(dec.Decode(llr).iterations_run, 9);
+  EXPECT_EQ(Make(9, /*early=*/false)->Decode(llr).iterations_run, 9);
 }
 
 TEST(LayeredMinSum, NameMentionsLayered) {
-  LayeredMinSumDecoder dec(SmallCode(), Opts(5));
-  EXPECT_EQ(dec.Name().rfind("layered-", 0), 0u);
+  EXPECT_EQ(Make(5)->Name().rfind("layered-", 0), 0u);
 }
 
 }  // namespace

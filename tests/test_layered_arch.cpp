@@ -1,14 +1,18 @@
 // The layered-schedule extension: bit-exactness of the architecture's
-// TDMP path against the fixed-point layered reference, convergence
+// TDMP path against the fixed-point layered software decoder
+// (fixed-layered-nms, in 1-lane and 16-lane groups), convergence
 // advantage over flooding, and the cycle accounting that turns it
 // into throughput.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "arch/decoder_core.hpp"
 #include "arch/throughput.hpp"
 #include "channel/awgn.hpp"
+#include "ldpc/batched_layered_decoder.hpp"
 #include "ldpc/encoder.hpp"
-#include "ldpc/fixed_layered_decoder.hpp"
 #include "ldpc/fixed_minsum_decoder.hpp"
 #include "qc/ccsds_c2.hpp"
 #include "qc/small_codes.hpp"
@@ -63,12 +67,26 @@ TEST_P(LayeredBitExact, MatchesFixedLayeredReference) {
   o.datapath = config.datapath;
   o.iter.max_iterations = config.iterations;
   o.iter.early_termination = false;
-  ldpc::FixedLayeredMinSumDecoder reference(f.code, o);
+  // The software decoder one frame at a time (the 1-lane group) and
+  // in a full 16-lane group.
+  ldpc::LayeredDecoder<ldpc::FixedLanes> single(f.code, o, 1);
+  ldpc::LayeredDecoder<ldpc::FixedLanes> group(f.code, o, 16);
 
-  const auto llr = NoisyFrame(snr, 6000 + trial);
-  const auto a = arch.Decode(llr);
-  const auto b = reference.Decode(llr);
-  EXPECT_EQ(a.bits, b.bits);
+  constexpr std::size_t kFrames = 16;
+  std::vector<double> llrs;
+  for (std::size_t j = 0; j < kFrames; ++j) {
+    const auto llr = NoisyFrame(snr, 6000 + trial + 100 * j);
+    llrs.insert(llrs.end(), llr.begin(), llr.end());
+  }
+  const auto grouped = group.DecodeBatch(llrs, kFrames);
+  ASSERT_EQ(grouped.size(), kFrames);
+  for (std::size_t j = 0; j < kFrames; ++j) {
+    const std::span<const double> llr(llrs.data() + j * f.code.n(),
+                                      f.code.n());
+    const auto a = arch.Decode(llr);
+    EXPECT_EQ(a.bits, single.Decode(llr).bits) << "batch=1 frame " << j;
+    EXPECT_EQ(a.bits, grouped[j].bits) << "batch=16 frame " << j;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,7 +187,7 @@ TEST(FixedLayeredReference, DecodesCleanAndNoisyFrames) {
   ldpc::FixedMinSumOptions o;
   o.iter.max_iterations = 12;
   o.iter.early_termination = true;
-  ldpc::FixedLayeredMinSumDecoder dec(f.code, o);
+  ldpc::LayeredDecoder<ldpc::FixedLanes> dec(f.code, o);
   int fails = 0;
   for (int trial = 0; trial < 20; ++trial) {
     Xoshiro256pp rng(900 + trial);
@@ -188,7 +206,7 @@ TEST(FixedLayeredReference, FasterConvergenceThanFloodingFixed) {
   ldpc::FixedMinSumOptions o;
   o.iter.max_iterations = 40;
   o.iter.early_termination = true;
-  ldpc::FixedLayeredMinSumDecoder layered(f.code, o);
+  ldpc::LayeredDecoder<ldpc::FixedLanes> layered(f.code, o);
   ldpc::FixedMinSumDecoder flooding(f.code, o);
   double lay = 0, flood = 0;
   int counted = 0;
